@@ -26,14 +26,55 @@ StatusOr<Relation> ExecuteNode(const NodePtr& node, const Catalog& catalog,
                                const ExecuteOptions& options,
                                exec::OperatorStats* stats);
 
+// An operator's input: a base table read in place from the catalog, or the
+// relation a child operator produced.
+class Input {
+ public:
+  explicit Input(const Relation* table) : table_(table) {}
+  explicit Input(Relation owned) : owned_(std::move(owned)) {}
+  const Relation& get() const { return table_ != nullptr ? *table_ : owned_; }
+
+ private:
+  const Relation* table_ = nullptr;
+  Relation owned_;
+};
+
+// Scans a base table without copying it: the result points into the
+// catalog, which must therefore stay unmutated until execution ends.
+StatusOr<const Relation*> Scan(const Node& leaf, const Catalog& catalog,
+                               const ExecuteOptions& options,
+                               exec::OperatorStats* stats) {
+  if (options.budget != nullptr) {
+    GSOPT_RETURN_IF_ERROR(options.budget->CheckDeadlineNow("execute"));
+  }
+  Clock::time_point start;
+  if (stats != nullptr) start = Clock::now();
+  const Relation* table = catalog.Find(leaf.table());
+  if (table == nullptr) return Status::NotFound("no table " + leaf.table());
+  if (stats != nullptr) {
+    // Scans have no kernel to count for them.
+    stats->op = StatsLabel(leaf);
+    stats->rows_out = static_cast<uint64_t>(table->NumRows());
+    stats->wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        Clock::now() - start);
+  }
+  return table;
+}
+
 // Executes one child under its own stats node (appended in child order, so
 // the stats tree mirrors the plan tree shape exactly).
-StatusOr<Relation> ExecuteChild(const NodePtr& child, const Catalog& catalog,
-                                const ExecuteOptions& options,
-                                exec::OperatorStats* stats) {
+StatusOr<Input> ExecuteChild(const NodePtr& child, const Catalog& catalog,
+                             const ExecuteOptions& options,
+                             exec::OperatorStats* stats) {
   exec::OperatorStats* cs =
       stats == nullptr ? nullptr : stats->AddChild(std::string());
-  return ExecuteNode(child, catalog, options, cs);
+  if (child != nullptr && child->kind() == OpKind::kLeaf) {
+    GSOPT_ASSIGN_OR_RETURN(const Relation* table,
+                           Scan(*child, catalog, options, cs));
+    return Input(table);
+  }
+  GSOPT_ASSIGN_OR_RETURN(Relation r, ExecuteNode(child, catalog, options, cs));
+  return Input(std::move(r));
 }
 
 StatusOr<Relation> Dispatch(const NodePtr& node, const Catalog& catalog,
@@ -41,45 +82,45 @@ StatusOr<Relation> Dispatch(const NodePtr& node, const Catalog& catalog,
                             const exec::ExecContext& ctx,
                             exec::OperatorStats* stats) {
   switch (node->kind()) {
-    case OpKind::kLeaf:
-      return catalog.Get(node->table());
     case OpKind::kSelect: {
       GSOPT_ASSIGN_OR_RETURN(
-          Relation child, ExecuteChild(node->left(), catalog, options, stats));
-      return exec::Select(child, node->pred(), ctx);
+          Input child, ExecuteChild(node->left(), catalog, options, stats));
+      return exec::Select(child.get(), node->pred(), ctx);
     }
     case OpKind::kProject: {
       GSOPT_ASSIGN_OR_RETURN(
-          Relation child, ExecuteChild(node->left(), catalog, options, stats));
+          Input child, ExecuteChild(node->left(), catalog, options, stats));
       if (node->projection_out() != node->projection()) {
-        return exec::ProjectAs(child, node->projection(),
+        return exec::ProjectAs(child.get(), node->projection(),
                                node->projection_out(), ctx);
       }
-      return exec::Project(child, node->projection(), ctx);
+      return exec::Project(child.get(), node->projection(), ctx);
     }
     case OpKind::kGeneralizedSelection: {
       GSOPT_ASSIGN_OR_RETURN(
-          Relation child, ExecuteChild(node->left(), catalog, options, stats));
-      return exec::GeneralizedSelection(child, node->pred(), node->groups(),
-                                        ctx);
+          Input child, ExecuteChild(node->left(), catalog, options, stats));
+      return exec::GeneralizedSelection(child.get(), node->pred(),
+                                        node->groups(), ctx);
     }
     case OpKind::kGroupBy: {
       GSOPT_ASSIGN_OR_RETURN(
-          Relation child, ExecuteChild(node->left(), catalog, options, stats));
-      return exec::GeneralizedProjection(child, node->groupby(), ctx);
+          Input child, ExecuteChild(node->left(), catalog, options, stats));
+      return exec::GeneralizedProjection(child.get(), node->groupby(), ctx);
     }
     case OpKind::kSort: {
       GSOPT_ASSIGN_OR_RETURN(
-          Relation child, ExecuteChild(node->left(), catalog, options, stats));
-      return exec::Sort(child, node->sort_spec(), ctx);
+          Input child, ExecuteChild(node->left(), catalog, options, stats));
+      return exec::Sort(child.get(), node->sort_spec(), ctx);
     }
     default:
       break;
   }
-  GSOPT_ASSIGN_OR_RETURN(Relation l,
+  GSOPT_ASSIGN_OR_RETURN(Input left,
                          ExecuteChild(node->left(), catalog, options, stats));
-  GSOPT_ASSIGN_OR_RETURN(Relation r,
+  GSOPT_ASSIGN_OR_RETURN(Input right,
                          ExecuteChild(node->right(), catalog, options, stats));
+  const Relation& l = left.get();
+  const Relation& r = right.get();
   switch (node->kind()) {
     case OpKind::kInnerJoin:
       return exec::InnerJoin(l, r, node->pred(), ctx);
@@ -105,6 +146,12 @@ StatusOr<Relation> ExecuteNode(const NodePtr& node, const Catalog& catalog,
                                const ExecuteOptions& options,
                                exec::OperatorStats* stats) {
   if (node == nullptr) return Status::InvalidArgument("null plan node");
+  if (node->kind() == OpKind::kLeaf) {
+    // Only a bare root scan copies its table: the caller owns the result.
+    GSOPT_ASSIGN_OR_RETURN(const Relation* table,
+                           Scan(*node, catalog, options, stats));
+    return *table;
+  }
   if (options.budget != nullptr) {
     GSOPT_RETURN_IF_ERROR(options.budget->CheckDeadlineNow("execute"));
   }
@@ -120,10 +167,6 @@ StatusOr<Relation> ExecuteNode(const NodePtr& node, const Catalog& catalog,
   if (stats != nullptr && result.ok()) {
     stats->wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
         Clock::now() - start);
-    if (node->kind() == OpKind::kLeaf) {
-      // Scans have no kernel to count for them.
-      stats->rows_out = static_cast<uint64_t>(result->NumRows());
-    }
   }
   return result;
 }

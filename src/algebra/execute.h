@@ -167,6 +167,10 @@ using ExecOptions = ExecuteOptions;
 // gsopt::Session (core/session.h), which layers parsing, optimization and
 // the plan cache on top of this and funnels back into it; Execute stays
 // the ground-truth interpreter used by tests and kernels.
+//
+// Operators read their base tables in place (only a plan that is a bare
+// table copies it into the result), so `catalog` must not be mutated until
+// Execute returns.
 StatusOr<Relation> Execute(const NodePtr& node, const Catalog& catalog,
                            const ExecuteOptions& options = {});
 

@@ -9,8 +9,6 @@ namespace gsopt {
 
 namespace {
 
-int aux_counter_hint = 0;  // appended to aux column names for uniqueness
-
 using QualSet = std::set<std::string>;
 
 QualSet NodeQuals(const NodePtr& n, const Catalog& catalog) {
@@ -226,6 +224,80 @@ bool CrossGs(Wrapper* w, OpKind op, SideRole role, const QualSet& p_side_refs,
   return true;
 }
 
+// Scans of table `rel` in `n`.
+int CountScans(const NodePtr& n, const std::string& rel) {
+  if (n->kind() == OpKind::kLeaf) return n->table() == rel ? 1 : 0;
+  return (n->left() ? CountScans(n->left(), rel) : 0) +
+         (n->right() ? CountScans(n->right(), rel) : 0);
+}
+
+// Pushes `atom`, which references only base relation `rel`, down `n` to
+// the scan of `rel`, merging it into a filter already on that scan. The
+// path may pass only operators that never null-pad `rel`: selections, both
+// sides of an inner join, and the preserved side of a one-sided outer join;
+// a selection commutes with each of them. Returns null when the scan is
+// off such a path (under a FOJ, GROUP BY, projection, GS, MGOJ, semi or
+// anti join, or a null-supplied side).
+NodePtr PushToScan(const NodePtr& n, const std::string& rel, const Atom& atom) {
+  switch (n->kind()) {
+    case OpKind::kLeaf:
+      return n->table() == rel ? Node::Select(n, Predicate(atom)) : nullptr;
+    case OpKind::kSelect: {
+      if (n->left()->kind() == OpKind::kLeaf) {
+        if (n->left()->table() != rel) return nullptr;
+        Predicate merged = n->pred();
+        merged.AddAtom(atom);
+        return Node::Select(n->left(), std::move(merged));
+      }
+      NodePtr c = PushToScan(n->left(), rel, atom);
+      return c ? Node::Select(c, n->pred()) : nullptr;
+    }
+    case OpKind::kInnerJoin:
+    case OpKind::kLeftOuterJoin:
+    case OpKind::kRightOuterJoin: {
+      if (n->kind() != OpKind::kRightOuterJoin) {
+        if (NodePtr l = PushToScan(n->left(), rel, atom)) {
+          return Node::Binary(n->kind(), l, n->right(), n->pred());
+        }
+      }
+      if (n->kind() != OpKind::kLeftOuterJoin) {
+        if (NodePtr r = PushToScan(n->right(), rel, atom)) {
+          return Node::Binary(n->kind(), n->left(), r, n->pred());
+        }
+      }
+      return nullptr;
+    }
+    default:
+      return nullptr;
+  }
+}
+
+// Moves each conjunct of `pred` that references a single base relation,
+// scanned once in `child` and owning every column the conjunct reads, down
+// to that scan. Returns the rewritten child; `kept` receives the conjuncts
+// that stay above it.
+NodePtr PushDownConjuncts(NodePtr child, const Predicate& pred,
+                          const Catalog& catalog, std::vector<Atom>* kept) {
+  for (const Atom& atom : pred.atoms()) {
+    std::set<std::string> rels = atom.RelNames();
+    NodePtr pushed;
+    if (rels.size() == 1) {
+      const std::string& rel = *rels.begin();
+      const Relation* table = catalog.Find(rel);
+      if (table != nullptr && atom.Validate(table->schema()).ok() &&
+          CountScans(child, rel) == 1) {
+        pushed = PushToScan(child, rel, atom);
+      }
+    }
+    if (pushed) {
+      child = std::move(pushed);
+    } else {
+      kept->push_back(atom);
+    }
+  }
+  return child;
+}
+
 struct NormalizeContext {
   const Catalog& catalog;
   int next_aux = 0;
@@ -320,8 +392,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
           // in the preserved group and is dropped at the root.
           std::string aux_rel = "#flag" + std::to_string(ctx->next_aux);
           std::string aux_name =
-              "present" + std::to_string(ctx->next_aux++) +
-              std::to_string(aux_counter_hint);
+              "present" + std::to_string(ctx->next_aux++);
           exec::AggSpec aux;
           aux.func = exec::AggFunc::kGroupFlag;
           aux.out_rel = aux_rel;
@@ -339,8 +410,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
           // the other (outer-preserved) side.
           std::string aux_rel = "#aux";
           std::string aux_name =
-              "present" + std::to_string(ctx->next_aux++) +
-              std::to_string(aux_counter_hint);
+              "present" + std::to_string(ctx->next_aux++);
           exec::AggSpec aux;
           aux.func = exec::AggFunc::kCountPresence;
           QualSet side_vids = AvailableVids(side.tree);
@@ -357,6 +427,14 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
           gs.groups.push_back(exec::PreservedGroup(other_quals.begin(),
                                                    other_quals.end()));
           side.drop_cols.push_back(Attribute{aux_rel, aux_name});
+          // The count is a column of the group like its aggregates: a GS
+          // above this group-by that resurrects the aggregates keeps it
+          // too, or the guard reads a resurrected real group as a phantom.
+          for (size_t up = wi + 1; up < side.wrappers.size(); ++up) {
+            for (exec::PreservedGroup& g : side.wrappers[up].groups) {
+              if (Intersects(g, agg_quals)) g.insert(aux_rel);
+            }
+          }
         }
         // Inner join: a plain (zero-group) selection on the deferred
         // conjuncts suffices; skip the GS if there are none.
@@ -392,16 +470,22 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
       return out;
     case OpKind::kSelect: {
       // A filter directly on a base relation stays with the leaf (the
-      // enumerator reorders the filtered unit); anything else hoists.
+      // enumerator reorders the filtered unit). Over anything else, the
+      // single-relation conjuncts move down to their scans first and only
+      // the rest hoist.
       if (node->left()->kind() == OpKind::kLeaf) {
         out.tree = node;
         out.tree_quals = {node->left()->table()};
         return out;
       }
-      GSOPT_ASSIGN_OR_RETURN(Side child, Normalize(node->left(), ctx));
+      std::vector<Atom> kept;
+      NodePtr pushed = PushDownConjuncts(node->left(), node->pred(),
+                                         ctx->catalog, &kept);
+      GSOPT_ASSIGN_OR_RETURN(Side child, Normalize(pushed, ctx));
+      if (kept.empty()) return child;
       Wrapper w;
       w.kind = Wrapper::Kind::kGeneralizedSelection;
-      w.pred = node->pred();
+      w.pred = Predicate(std::move(kept));
       child.wrappers.push_back(std::move(w));
       return child;
     }
@@ -526,7 +610,6 @@ StatusOr<NormalizedQuery> NormalizeForReordering(const NodePtr& query,
                                                  ResourceBudget* budget) {
   if (query == nullptr) return Status::InvalidArgument("null query");
   NormalizeContext ctx{catalog, 0, budget};
-  ++aux_counter_hint;
   GSOPT_ASSIGN_OR_RETURN(Side side, Normalize(query, &ctx));
   NormalizedQuery nq;
   nq.join_tree = side.tree;

@@ -5,8 +5,12 @@
 //   * predicates that reference aggregation outputs are split off the
 //     binary operators and deferred into generalized selections above the
 //     pulled-up aggregation;
-//   * plain selections and previously created generalized selections are
-//     hoisted with operator-specific preserved-group adjustments.
+//   * conjuncts of a selection that read one base relation move down to
+//     that relation's scan when no operator on the way null-pads it
+//     (selections, inner joins, the preserved side of LOJ/ROJ);
+//   * the remaining selection conjuncts and previously created generalized
+//     selections are hoisted with operator-specific preserved-group
+//     adjustments.
 //
 // The result is a pure join/outer-join tree (reorderable by the
 // enumerator) plus an ordered stack of unary "wrappers" to re-apply above

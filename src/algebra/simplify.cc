@@ -9,8 +9,26 @@ namespace {
 
 using RelNameSet = std::set<std::string>;
 
+// Qualifiers of the columns `n` can output: its base relations and the
+// aggregate outputs of the views inside it. Padding `n` nulls all of them.
+void CollectOutputRels(const NodePtr& n, RelNameSet* out) {
+  if (n->kind() == OpKind::kLeaf) {
+    out->insert(n->table());
+    return;
+  }
+  if (n->kind() == OpKind::kGroupBy) {
+    for (const exec::AggSpec& agg : n->groupby().aggs) {
+      out->insert(agg.out_rel);
+    }
+  }
+  if (n->left()) CollectOutputRels(n->left(), out);
+  if (n->right()) CollectOutputRels(n->right(), out);
+}
+
 bool IntersectsRels(const RelNameSet& nr, const NodePtr& node) {
-  for (const std::string& rel : node->BaseRels()) {
+  RelNameSet rels;
+  CollectOutputRels(node, &rels);
+  for (const std::string& rel : rels) {
     if (nr.count(rel)) return true;
   }
   return false;
@@ -61,7 +79,10 @@ NodePtr Simplify(const NodePtr& node, const RelNameSet& nr) {
       NodePtr c = Simplify(node->left(), {});
       if (c == node->left()) return node;
       if (node->kind() == OpKind::kProject) {
-        return Node::Project(c, node->projection());
+        return node->projection_out() != node->projection()
+                   ? Node::ProjectAs(c, node->projection(),
+                                     node->projection_out())
+                   : Node::Project(c, node->projection());
       }
       return Node::GroupBy(c, node->groupby());
     }

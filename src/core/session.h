@@ -46,7 +46,9 @@
 // rebuilt under a session mutex and handed out as shared_ptr; entries are
 // pinned by shared_ptr so eviction cannot free a plan mid-execution) --
 // PROVIDED the catalog is not mutated concurrently with serving, which
-// the underlying Relation storage has never supported.
+// the underlying Relation storage has never supported. Execution reads
+// base tables in place (algebra/execute.h), so the precondition spans
+// every execution from its first scan to its result, not just planning.
 //
 // Budgets: a ResourceBudget in SessionOptions (or per-call ExecOptions)
 // governs a miss's optimization AND every execution; a hit skips the

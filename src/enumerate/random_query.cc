@@ -131,6 +131,46 @@ NodePtr MaybeOrderBy(NodePtr root, const std::vector<Attribute>& candidates,
   return Node::Sort(std::move(root), std::move(spec));
 }
 
+// With probability options.where_prob, wraps `root` in a WHERE of one to
+// three conjuncts over the visible columns `cols`. Draws nothing when
+// where_prob is 0, so callers that leave it unset generate the same queries
+// as before it.
+NodePtr MaybeWhere(NodePtr root, const std::vector<Attribute>& cols,
+                   const RandomQueryOptions& options, Rng* rng,
+                   RandomQueryFeatures* features) {
+  if (options.where_prob <= 0.0 || cols.empty() ||
+      !rng->Bernoulli(options.where_prob)) {
+    return root;
+  }
+  auto pick = [&]() -> const Attribute& {
+    return cols[static_cast<size_t>(
+        rng->Uniform(0, static_cast<int64_t>(cols.size()) - 1))];
+  };
+  Predicate pred;
+  const int64_t conjuncts = rng->Uniform(1, 3);
+  for (int64_t k = 0; k < conjuncts; ++k) {
+    const Attribute& x = pick();
+    Atom a;
+    a.lhs = Scalar::Column(x.rel, x.name);
+    const double roll = rng->NextDouble();
+    const Attribute& y = pick();
+    if (roll < 0.2) {
+      a.kind = rng->Bernoulli(0.5) ? Atom::Kind::kIsNull
+                                   : Atom::Kind::kIsNotNull;
+    } else if (roll < 0.45 && y.rel != x.rel) {
+      a.op = RandomCmpOp(rng);
+      a.rhs = Scalar::Column(y.rel, y.name);
+    } else {
+      CmpOp ops[] = {CmpOp::kEq, CmpOp::kLe, CmpOp::kGe, CmpOp::kNe};
+      a.op = ops[rng->Uniform(0, 3)];
+      a.rhs = Scalar::Const(Value::Int(rng->Uniform(0, 4)));
+    }
+    pred.AddAtom(std::move(a));
+  }
+  if (features != nullptr) features->has_where = true;
+  return Node::Select(std::move(root), std::move(pred));
+}
+
 }  // namespace
 
 NodePtr MakeRandomQuery(const RandomQueryOptions& options, Rng* rng,
@@ -150,6 +190,7 @@ NodePtr MakeRandomQuery(const RandomQueryOptions& options, Rng* rng,
       candidates.push_back(Attribute{"r" + std::to_string(i), ColName(c)});
     }
   }
+  root = MaybeWhere(std::move(root), candidates, options, rng, features);
   return MaybeOrderBy(std::move(root), candidates, options, rng, features);
 }
 
@@ -276,6 +317,7 @@ NodePtr MakeGeneralRandomQuery(const RandomQueryOptions& options, Rng* rng,
   }
   std::vector<Attribute> candidates;
   for (const VisibleCol& vc : visible) candidates.push_back(vc.attr);
+  acc = MaybeWhere(std::move(acc), candidates, options, rng, features);
   return MaybeOrderBy(std::move(acc), candidates, options, rng, features);
 }
 

@@ -52,6 +52,14 @@ struct RandomQueryOptions {
   // directions; in the view case the aggregate output column is a
   // candidate key.
   double order_by_prob = 0.0;
+
+  // --- WHERE extensions (a selection over the whole join tree) ---
+  // Probability the query carries a root WHERE of one to three conjuncts
+  // over its visible columns: constant comparisons and IS [NOT] NULL tests
+  // on one relation (wherever it sits: a preserved or null-supplied side,
+  // a FOJ operand, a view's grouping column), comparisons between two
+  // relations, and -- with a view -- comparisons on the aggregate output.
+  double where_prob = 0.0;
 };
 
 // What one generated query actually contains; the fuzz driver aggregates
@@ -65,6 +73,7 @@ struct RandomQueryFeatures {
   bool has_outer_join = false;    // at least one LOJ/ROJ/FOJ
   bool has_order_by = false;      // a root ORDER BY (kSort) is present
   bool has_desc_key = false;      // ...with at least one DESC key
+  bool has_where = false;         // a root WHERE (kSelect) is present
   int num_rels = 0;
 };
 

@@ -41,7 +41,9 @@ class Catalog {
   // cache epoch, lazily invalidating cached plans (see core/session.h).
   // Mutation is not synchronized with concurrent readers -- like the table
   // data itself, catalog writes require external synchronization against
-  // serving threads.
+  // serving threads. Execution reads tables in place through Find() (no
+  // per-query copy), so a writer must wait until every execution that
+  // may scan the table has returned, not just until planning is done.
   uint64_t version() const { return version_; }
 
  private:

@@ -121,7 +121,9 @@ class GsoptServer {
   // The catalog is referenced, not copied; it must outlive the server and
   // must not be mutated while requests are in flight (quiesce first: stop
   // sending, wait for in_flight() == 0 -- the Session's epoch machinery
-  // then re-optimizes stale templates on the next lookup).
+  // then re-optimizes stale templates on the next lookup). A request reads
+  // base tables in place for the whole of its execution, not only while
+  // it is planned, so the quiesce must cover every running execution.
   GsoptServer(const Catalog& catalog, ServerOptions options = {});
   ~GsoptServer();
 

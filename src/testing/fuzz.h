@@ -80,6 +80,7 @@ struct FuzzStats {
   int with_complex_pred = 0;
   int with_outer_join = 0;
   int with_order_by = 0;
+  int with_where = 0;
 
   double seconds = 0.0;
   std::vector<std::string> failure_dirs;  // artifacts written this run

@@ -159,6 +159,7 @@ class Emitter {
     return Status::Internal("unhandled scalar kind");
   }
 
+ public:
   StatusOr<std::string> RenderPredicate(const Predicate& p,
                                         const Rendered& scope) const {
     if (p.IsTrue()) return std::string("1 = 1");
@@ -183,6 +184,7 @@ class Emitter {
     return out;
   }
 
+ private:
   std::string FreshAlias(const std::string& stem) {
     return stem + std::to_string(next_alias_++);
   }
@@ -365,7 +367,10 @@ StatusOr<EmittedQuery> EmitSql(const NodePtr& tree, const Catalog& catalog) {
   NodePtr below = proj != nullptr ? proj->left() : tree;
   NodePtr sort = below->kind() == OpKind::kSort ? below : nullptr;
   NodePtr body = sort != nullptr ? sort->left() : below;
-  GSOPT_ASSIGN_OR_RETURN(Rendered r, emitter.Render(body));
+  // A selection right below them becomes the outermost WHERE clause.
+  NodePtr where = body->kind() == OpKind::kSelect ? body : nullptr;
+  GSOPT_ASSIGN_OR_RETURN(
+      Rendered r, emitter.Render(where != nullptr ? where->left() : body));
 
   std::vector<std::pair<Attribute, std::string>> selected;
   if (proj != nullptr) {
@@ -406,6 +411,11 @@ StatusOr<EmittedQuery> EmitSql(const NodePtr& tree, const Catalog& catalog) {
 
   EmittedQuery out;
   out.sql = "SELECT " + items + " FROM " + r.sql;
+  if (where != nullptr) {
+    GSOPT_ASSIGN_OR_RETURN(std::string pred,
+                           emitter.RenderPredicate(where->pred(), r));
+    out.sql += " WHERE " + pred;
+  }
   if (sort != nullptr) {
     std::string clause;
     for (const exec::SortKey& k : sort->sort_spec()) {

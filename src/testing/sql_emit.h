@@ -1,8 +1,9 @@
 // SQL-text emitter: renders a logical algebra tree back into the SQL
 // subset understood by sql/lexer+parser+binder, so every generated query
 // can round-trip through the whole front end. GROUP BY nodes become aliased
-// view subqueries (the binder re-merges them), selections become
-// `(SELECT * FROM ... WHERE p) AS sK` wrappers (the binder's star path
+// view subqueries (the binder re-merges them), a selection at the top of
+// the tree becomes the outermost WHERE clause and any other selection a
+// `(SELECT * FROM ... WHERE p) AS sK` wrapper (the binder's star path
 // preserves the underlying qualifiers), joins render structurally. The
 // emitted text's top-level SELECT aliases every output column o0..oN under
 // the binder's top-level qualifier `q`; `reference` wraps the input tree in

@@ -82,6 +82,101 @@ TEST(ExecuteStatsTest, InterpreterMirrorsPlanTree) {
   EXPECT_GE(stats.SelfWall().count(), 0);
 }
 
+// Scans under an operator read the catalog's table in place; the stats
+// tree keeps one "scan <t>" node per leaf all the same.
+TEST(ExecuteStatsTest, InPlaceScanUnderSelectKeepsStatsShape) {
+  Catalog cat = Example21Catalog();
+  NodePtr q = Node::Select(
+      Node::Leaf("r1"), Predicate(MakeConstAtom("r1", "a", CmpOp::kGe, I(3))));
+  exec::OperatorStats stats;
+  ExecuteOptions xo;
+  xo.stats = &stats;
+  auto rel = Execute(q, cat, xo);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  EXPECT_EQ(rel->NumRows(), 2);
+  EXPECT_EQ(stats.op, "SELECT");
+  EXPECT_EQ(stats.rows_in, 3u);
+  EXPECT_EQ(stats.rows_out, 2u);
+  ASSERT_EQ(stats.children.size(), 1u);
+  EXPECT_EQ(stats.children[0]->op, "scan r1");
+  EXPECT_EQ(stats.children[0]->rows_out, 3u);
+  EXPECT_TRUE(stats.children[0]->children.empty());
+}
+
+TEST(ExecuteStatsTest, InPlaceScansUnderJoinKeepStatsShape) {
+  Catalog cat = Example21Catalog();
+  NodePtr q = Node::Join(Node::Leaf("r1"), Node::Leaf("r2"),
+                         Predicate(MakeAtom("r1", "c", CmpOp::kEq, "r2", "c")));
+  exec::OperatorStats stats;
+  ExecuteOptions xo;
+  xo.stats = &stats;
+  auto rel = Execute(q, cat, xo);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  EXPECT_EQ(rel->NumRows(), 2);
+  EXPECT_EQ(stats.op, "JOIN");
+  EXPECT_EQ(stats.rows_in, 5u);
+  EXPECT_EQ(stats.rows_out, 2u);
+  ASSERT_EQ(stats.children.size(), 2u);
+  EXPECT_EQ(stats.children[0]->op, "scan r1");
+  EXPECT_EQ(stats.children[0]->rows_out, 3u);
+  EXPECT_EQ(stats.children[1]->op, "scan r2");
+  EXPECT_EQ(stats.children[1]->rows_out, 2u);
+}
+
+// Every value with its type, and every row id, of `r` in row order.
+std::string Dump(const Relation& r) {
+  std::string out = r.schema().ToString() + "\n";
+  for (const Tuple& t : r.rows()) {
+    for (const Value& v : t.values) {
+      out += std::to_string(static_cast<int>(v.type())) + ":" + v.ToString() +
+             " ";
+    }
+    for (RowId id : t.vids) out += "#" + std::to_string(id) + " ";
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(ExecuteStatsTest, InPlaceScansLeaveTheCatalogUntouched) {
+  Catalog cat = Example21Catalog();
+  std::vector<std::string> before;
+  for (const std::string& t : cat.TableNames()) {
+    before.push_back(Dump(*cat.Find(t)));
+  }
+  const uint64_t version = cat.version();
+  exec::GroupBySpec spec;
+  spec.group_cols = {Attribute{"r1", "b"}};
+  exec::AggSpec agg;
+  agg.func = exec::AggFunc::kCountStar;
+  agg.out_rel = "V";
+  agg.out_name = "n";
+  spec.aggs = {agg};
+  for (const NodePtr& q :
+       {Example21Query(), Node::GroupBy(Node::Leaf("r1"), spec),
+        Node::Sort(Node::Leaf("r1"),
+                   exec::SortSpec{exec::SortKey{Attribute{"r1", "a"}, true}}),
+        Node::Project(Node::Leaf("r2"), {Attribute{"r2", "d"}}),
+        Node::Leaf("r3")}) {
+    exec::OperatorStats stats;
+    ExecuteOptions xo;
+    xo.stats = &stats;
+    auto rel = Execute(q, cat, xo);
+    ASSERT_TRUE(rel.ok()) << q->ToString() << ": " << rel.status().ToString();
+  }
+  // A bare root scan hands back its own copy of the table.
+  auto copy = Execute(Node::Leaf("r1"), cat);
+  ASSERT_TRUE(copy.ok());
+  EXPECT_EQ(Dump(*copy), Dump(*cat.Find("r1")));
+  EXPECT_NE(&copy->rows(), &cat.Find("r1")->rows());
+
+  std::vector<std::string> after;
+  for (const std::string& t : cat.TableNames()) {
+    after.push_back(Dump(*cat.Find(t)));
+  }
+  EXPECT_EQ(before, after);
+  EXPECT_EQ(cat.version(), version);
+}
+
 TEST(ExecuteStatsTest, QErrorClampsAndSignalsMissingEstimate) {
   exec::OperatorStats s;
   EXPECT_EQ(s.QError(), 0.0);  // no estimate joined in

@@ -53,6 +53,42 @@ TEST(SimplifyTest, FojDegeneratesSidewise) {
   EXPECT_EQ(s->left()->kind(), OpKind::kRightOuterJoin);
 }
 
+TEST(SimplifyTest, RenamingProjectionKeepsItsOutputNames) {
+  // The binder's top-level shape: a renaming projection over a WHERE that
+  // degenerates the LOJ below it. The rebuilt projection must still rename.
+  NodePtr where = Node::Select(
+      Node::LeftOuterJoin(L("r1"), L("r2"), P("r1", "r2")),
+      Predicate(MakeConstAtom("r2", "b", CmpOp::kEq, Value::Int(1))));
+  NodePtr q =
+      Node::ProjectAs(where, {Attribute{"r1", "a"}, Attribute{"r2", "b"}},
+                      {Attribute{"q", "o0"}, Attribute{"q", "o1"}});
+  NodePtr s = SimplifyOuterJoins(q);
+  ASSERT_NE(s, q);
+  EXPECT_EQ(s->left()->left()->kind(), OpKind::kInnerJoin);
+  EXPECT_EQ(s->projection(), q->projection());
+  EXPECT_EQ(s->projection_out(), q->projection_out());
+}
+
+TEST(SimplifyTest, PredicateOnViewAggregateDegeneratesFoj) {
+  // A null-intolerant conjunct on a view's aggregate output rejects rows
+  // padded on the view's side just as one on its base relation would.
+  exec::GroupBySpec spec;
+  spec.group_cols = {Attribute{"r1", "b"}};
+  exec::AggSpec agg;
+  agg.func = exec::AggFunc::kMax;
+  agg.input = Scalar::Column("r1", "b");
+  agg.out_rel = "v";
+  agg.out_name = "agg";
+  spec.aggs = {agg};
+  NodePtr foj = Node::FullOuterJoin(Node::GroupBy(L("r1"), spec), L("r2"),
+                                    Predicate(MakeAtom("r2", "b", CmpOp::kEq,
+                                                       "v", "agg")));
+  NodePtr q = Node::RightOuterJoin(
+      foj, L("r3"), Predicate(MakeAtom("r3", "a", CmpOp::kEq, "v", "agg")));
+  NodePtr s = SimplifyOuterJoins(q);
+  EXPECT_EQ(s->left()->kind(), OpKind::kLeftOuterJoin);
+}
+
 TEST(SimplifyTest, FojWithBothSidesRejectedBecomesInner) {
   NodePtr q = Node::Join(Node::FullOuterJoin(L("r1"), L("r2"), P("r1", "r2")),
                          L("r3"),

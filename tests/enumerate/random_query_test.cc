@@ -1,7 +1,8 @@
 // Unit tests for the random query generator, focused on the general-class
 // extensions: duplicate column-pair predicates (the `p AND p` shape that
 // tautological-conjunct handling must survive), GROUP BY views with
-// aggregated-column predicates, and generation determinism.
+// aggregated-column predicates, root WHERE clauses, and generation
+// determinism.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -121,6 +122,40 @@ TEST(RandomQueryTest, GeneralClassCoversViewsAndAggPredicates) {
     ASSERT_NE(q, nullptr);
     EXPECT_TRUE(features.has_view) << "seed " << seed;
     EXPECT_TRUE(features.has_agg_pred) << "seed " << seed;
+  }
+}
+
+TEST(RandomQueryTest, WhereProbabilityAddsRootWhereThatStaysCorrect) {
+  // A root WHERE over joins (and views) mixes conjuncts that move down to
+  // their scans with ones that must stay above; every plan must still
+  // bag-equal the as-written result.
+  RandomQueryOptions opt;
+  opt.num_rels = 3;
+  opt.view_prob = 0.5;
+  opt.where_prob = 1.0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    RandomQueryFeatures features;
+    NodePtr q = MakeGeneralRandomQuery(opt, &rng, &features);
+    EXPECT_TRUE(features.has_where) << "seed " << seed;
+    ASSERT_EQ(q->kind(), OpKind::kSelect) << q->ToString();
+
+    Catalog cat;
+    Rng drng(seed * 101 + 7);
+    RandomRelationOptions dopt;
+    dopt.num_rows = 7;
+    dopt.domain = 3;
+    dopt.null_fraction = 0.25;
+    AddRandomTables(opt.num_rels, dopt, &drng, &cat);
+
+    testing::OracleOptions oopt;
+    oopt.run_executor = false;
+    Rng orng(seed * 13 + 1);
+    auto outcome = testing::CheckQuery(q, cat, oopt, &orng);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_FALSE(outcome->failed)
+        << "seed " << seed << ": " << outcome->ToString() << "\n"
+        << q->ToString();
   }
 }
 

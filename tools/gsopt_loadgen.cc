@@ -11,8 +11,11 @@
 // fires immediately until it catches up.
 //
 // Each connection runs a sender thread and a receiver thread; responses
-// arrive in request order (protocol.h), so a per-connection FIFO of send
-// timestamps pairs every response with its request without tagging.
+// arrive in request order (protocol.h), so a per-connection FIFO of
+// scheduled send times pairs every response with its request without
+// tagging. Latency runs from the scheduled time, not the moment the send
+// happened, so time a request spent waiting behind a late sender counts
+// too (no coordinated omission).
 //
 // Traffic mix: --warm-ratio of requests EXECUTE a prepared statement with
 // a varying parameter (the plan-cache-hit hot path: no parse, no plan
@@ -204,6 +207,7 @@ void RunConnection(const std::string& host, uint16_t port,
       std::this_thread::sleep_until(std::min(next, stop_at));
       if (Clock::now() >= stop_at) break;
     }
+    const Clock::time_point due = next;
     next += interval;
 
     bool cold = false;
@@ -215,7 +219,7 @@ void RunConnection(const std::string& host, uint16_t port,
 
     {
       std::lock_guard<std::mutex> lock(fifo_mu);
-      fifo.push_back(Clock::now());
+      fifo.push_back(due);
     }
     Status s = cold ? c.SendQuery(cold_pool[i % cold_pool.size()])
                     : c.SendExecute(
