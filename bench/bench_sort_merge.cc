@@ -1,10 +1,11 @@
 // Experiment O1 (EXPERIMENTS.md "Order-aware execution"): the external
 // sort across input dispositions (random / presorted / reverse-sorted /
 // memory-capped so it spills), the sort-merge join against the hash join
-// on presorted inputs, and the headline order-aware plan comparison: an
-// ORDER-BY-on-the-join-key query over presorted base tables executed as
-// hash-join-plus-sort-enforcer vs the DP's merge-join plan whose output
-// order discharges the ORDER BY for free (sort_enforcers_avoided > 0).
+// on presorted inputs (and on unsorted ones), and the headline order-aware
+// plan comparison: an ORDER-BY-on-the-join-key query over presorted base
+// tables executed as hash-join-plus-sort-enforcer vs the DP's merge-join
+// plan whose output order discharges the ORDER BY for free
+// (sort_enforcers_avoided > 0).
 // Input shapes mirror bench_columnar: domain rows/4+1, ~4 matches/key.
 #include <benchmark/benchmark.h>
 
@@ -77,23 +78,28 @@ void BM_SortSpilled(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(exec::Sort(in.random_r, KeySpec(), ctx));
   }
-  state.counters["sort_runs"] = static_cast<double>(stats.sort_runs);
+  // Per-sort figures: the stats accumulate over every iteration.
+  state.counters["sort_runs"] = benchmark::Counter(
+      static_cast<double>(stats.sort_runs), benchmark::Counter::kAvgIterations);
   state.counters["merge_passes"] =
-      static_cast<double>(stats.sort_merge_passes);
+      benchmark::Counter(static_cast<double>(stats.sort_merge_passes),
+                         benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() * in.random_r.NumRows());
 }
 
-// --- joins over presorted inputs -------------------------------------
+// --- joins over presorted and unsorted inputs ------------------------
 
-// Both base tables arrive presorted by the join key, so the merge join's
-// sort phase degenerates to a verification-speed pass while the hash join
-// still pays the full build.
+// By default both base tables arrive presorted by the join key, so the
+// merge join's sort phase degenerates to a verification-speed pass while
+// the hash join still pays the full build. Unsorted inputs make the merge
+// join sort both sides, the shape of an ORDER BY on a join key over
+// tables stored in arbitrary order.
 struct JoinWorkload {
   Catalog cat;
   Predicate eq;
   NodePtr ordered_query;  // ORDER BY r1.x over the join
 
-  explicit JoinWorkload(int64_t rows) {
+  explicit JoinWorkload(int64_t rows, bool presorted = true) {
     Rng rng(418);
     RandomRelationOptions opt;
     opt.num_rows = rows;
@@ -102,7 +108,8 @@ struct JoinWorkload {
     for (const char* name : {"r1", "r2"}) {
       Relation r = MakeRandomRelation(name, {"x", "y"}, opt, &rng);
       exec::SortSpec by_key{{Attribute{name, "x"}, false}};
-      GSOPT_CHECK(cat.Register(name, *exec::Sort(r, by_key)).ok());
+      GSOPT_CHECK(
+          cat.Register(name, presorted ? *exec::Sort(r, by_key) : r).ok());
     }
     eq = Predicate(MakeAtom("r1", "x", CmpOp::kEq, "r2", "x"));
     ordered_query =
@@ -114,8 +121,9 @@ struct JoinWorkload {
   const Relation& r2() const { return *cat.Find("r2"); }
 };
 
-void RunJoin(benchmark::State& state, exec::JoinStrategy js) {
-  JoinWorkload w(state.range(0));
+void RunJoin(benchmark::State& state, exec::JoinStrategy js,
+             bool presorted = true) {
+  JoinWorkload w(state.range(0), presorted);
   exec::ExecContext ctx;
   ctx.join = js;
   int64_t rows = 0;
@@ -134,6 +142,10 @@ void BM_HashJoinPresorted(benchmark::State& state) {
 
 void BM_MergeJoinPresorted(benchmark::State& state) {
   RunJoin(state, exec::JoinStrategy::kMergeOnly);
+}
+
+void BM_MergeJoinRandom(benchmark::State& state) {
+  RunJoin(state, exec::JoinStrategy::kMergeOnly, /*presorted=*/false);
 }
 
 // --- the headline: ORDER BY discharged by the merge join's order ------
@@ -186,6 +198,7 @@ BENCHMARK(BM_SortReverse)->SIZES;
 BENCHMARK(BM_SortSpilled)->SIZES;
 BENCHMARK(BM_HashJoinPresorted)->SIZES;
 BENCHMARK(BM_MergeJoinPresorted)->SIZES;
+BENCHMARK(BM_MergeJoinRandom)->SIZES;
 BENCHMARK(BM_OrderByHashThenSort)->SIZES;
 BENCHMARK(BM_OrderByMergeOrderFree)->SIZES;
 

@@ -148,13 +148,21 @@ bool SubsetOf(const QualSet& a, const QualSet& b) {
 }
 
 // Materializes a side back into a single opaque expression (fallback when
-// its wrappers cannot cross the operator above).
-StatusOr<NodePtr> Materialize(const Side& side, const Catalog& catalog) {
+// its wrappers cannot cross the operator above). The side's auxiliary
+// columns stay in the unit's output and its drop_cols move to the returned
+// side, to be dropped at the root: a #flag witness projected away inside
+// the unit would leave a real all-NULL view row indistinguishable from
+// padding to a GS the enumerator places above it.
+StatusOr<Side> Materialize(Side side, const Catalog& catalog) {
   NormalizedQuery nq;
-  nq.join_tree = side.tree;
-  nq.wrappers = side.wrappers;
-  nq.drop_cols = side.drop_cols;
-  return ApplyWrappers(nq, side.tree, catalog);
+  nq.wrappers = std::move(side.wrappers);
+  GSOPT_ASSIGN_OR_RETURN(NodePtr opaque,
+                         ApplyWrappers(nq, std::move(side.tree), catalog));
+  Side out;
+  out.tree = std::move(opaque);
+  out.tree_quals = NodeQuals(out.tree, catalog);
+  out.drop_cols = std::move(side.drop_cols);
+  return out;
 }
 
 enum class SideRole { kPreserved, kNullSupplied, kBothPreserved };
@@ -446,13 +454,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
     }
   }
 
-  if (!ok) {
-    GSOPT_ASSIGN_OR_RETURN(NodePtr opaque, Materialize(side, ctx->catalog));
-    Side s;
-    s.tree = opaque;
-    s.tree_quals = NodeQuals(opaque, ctx->catalog);
-    return s;
-  }
+  if (!ok) return Materialize(std::move(side), ctx->catalog);
   for (Wrapper& w : created_here) crossed.push_back(std::move(w));
   side.wrappers = std::move(crossed);
   return side;
@@ -512,9 +514,11 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
         a.input->CollectColumns(&cols);
         for (const Attribute& col : cols) {
           if (nullable.count(col.rel)) {
-            GSOPT_ASSIGN_OR_RETURN(NodePtr opaque_child,
-                                   Materialize(child, ctx->catalog));
-            out.tree = Node::GroupBy(opaque_child, node->groupby());
+            // The group-by above replaces the column set, so the child's
+            // auxiliary columns end here.
+            GSOPT_ASSIGN_OR_RETURN(Side opaque_child,
+                                   Materialize(std::move(child), ctx->catalog));
+            out.tree = Node::GroupBy(opaque_child.tree, node->groupby());
             out.tree_quals = NodeQuals(out.tree, ctx->catalog);
             return out;
           }
@@ -549,11 +553,7 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
         if (w.kind == Wrapper::Kind::kGroupBy) r_has_gp = true;
       }
       if (l_has_gp && r_has_gp) {
-        GSOPT_ASSIGN_OR_RETURN(NodePtr opaque, Materialize(r, ctx->catalog));
-        Side s;
-        s.tree = opaque;
-        s.tree_quals = NodeQuals(opaque, ctx->catalog);
-        r = std::move(s);
+        GSOPT_ASSIGN_OR_RETURN(r, Materialize(std::move(r), ctx->catalog));
       }
       Predicate pred = node->pred();
       GSOPT_ASSIGN_OR_RETURN(

@@ -16,15 +16,6 @@ namespace {
 
 using CAtom = CompiledFilter::CAtom;
 
-// Best-effort read prefetch; a no-op on compilers without the builtin.
-inline void Prefetch(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
-
 int SlotFor(std::vector<int>* cols, int c) {
   for (size_t k = 0; k < cols->size(); ++k) {
     if ((*cols)[k] == c) return static_cast<int>(k);

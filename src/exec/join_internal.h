@@ -17,6 +17,15 @@
 
 namespace gsopt::exec::internal {
 
+// Best-effort read prefetch; a no-op on compilers without the builtin.
+inline void Prefetch(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
+#else
+  (void)p;
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // Hash-join planning: split the conjunction into equi-atoms whose two sides
 // separate across the inputs (the hash keys) and residual atoms.

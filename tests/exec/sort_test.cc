@@ -2,14 +2,17 @@
 // properties (NULL lowest, exact int/double unification past 2^53, NaN
 // rules, key-class refinement), stability, multi-key ASC/DESC, spilled
 // runs with bounded fan-in (temp files gone, ledger unwound), injected
-// ENOSPC / short-write degradation to typed errors, and the merge-join /
-// sorted-aggregation paths against their hash twins.
+// ENOSPC / short-write degradation to typed errors, the merge-join /
+// sorted-aggregation paths against their hash twins, and a differential
+// run of Sort against a naive copy-and-stable-sort reference.
 #include "exec/sort.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -96,6 +99,24 @@ TEST(CompareValuesKeyClassTest, RefinesOnlyTheInexactCorner) {
             -c);
   // The refinement never contradicts the total order.
   EXPECT_EQ(CompareValuesTotal(I(two54), D(static_cast<double>(two54))), 0);
+}
+
+TEST(CompareValuesKeyClassTest, SameTypeEqualityIsValueEquality) {
+  // -0.0 and 0.0 share one key (AppendValueKey folds -0.0), as does every
+  // NaN; an equal int or string pair is one class too.
+  EXPECT_EQ(CompareValuesKeyClass(D(-0.0), D(0.0)), 0);
+  EXPECT_EQ(CompareValuesKeyClass(D(0.0), I(0)), 0);
+  EXPECT_EQ(CompareValuesKeyClass(D(std::nan("")), D(-std::nan(""))), 0);
+  EXPECT_EQ(CompareValuesKeyClass(I(kTwo53 + 1), I(kTwo53 + 1)), 0);
+  EXPECT_EQ(CompareValuesKeyClass(S("same"), S("same")), 0);
+  EXPECT_EQ(CompareValuesKeyClass(N(), N()), 0);
+  // Past 2^53 adjacent ints stay distinct and ordered by value.
+  EXPECT_LT(CompareValuesKeyClass(I(kTwo53 + 1), I(kTwo53 + 2)), 0);
+  EXPECT_GT(CompareValuesKeyClass(I(-kTwo53 - 1), I(-kTwo53 - 2)), 0);
+  // An int past 2^53 and a double of the same value are two classes.
+  const int64_t two54 = kTwo53 * 2;
+  EXPECT_NE(CompareValuesKeyClass(I(-two54), D(-static_cast<double>(two54))),
+            0);
 }
 
 TEST(SortTest, MultiKeyDirectionsAndNullPlacement) {
@@ -366,6 +387,252 @@ TEST(MergeJoinTest, SpilledMergeMatchesHash) {
   EXPECT_EQ(SpillFile::LiveCount(), 0u);
   EXPECT_EQ(budget.memory_charged(), 0u);
   EXPECT_TRUE(Relation::BagEquals(hash, *merge));
+}
+
+// --- differential: the kernels against deliberately naive references ---
+
+// A value from a pool that stresses the ordering contract: NULLs, heavily
+// duplicated small ints, doubles equal to them (-0.0 included), fractions,
+// NaN, ints and doubles around and past 2^53, and strings that tie on
+// their first seven bytes or differ only by a trailing NUL.
+Value OddValue(Rng* rng) {
+  switch (rng->Uniform(0, 11)) {
+    case 0:
+      return N();
+    case 1:
+    case 2:
+    case 3:
+      return I(rng->Uniform(-3, 3));
+    case 4:
+      return D(static_cast<double>(rng->Uniform(-3, 3)));
+    case 5:
+      return D(rng->Uniform(0, 1) != 0 ? -0.0 : 0.5 * rng->Uniform(-5, 5));
+    case 6:
+      return D(rng->Uniform(0, 1) != 0 ? std::nan("") : -std::nan(""));
+    case 7:
+      return I(kTwo53 * rng->Uniform(1, 2) + rng->Uniform(-2, 2));
+    case 8:
+      return D(static_cast<double>(kTwo53 * rng->Uniform(1, 2)));
+    case 9:
+      return I(-kTwo53 * 2 + rng->Uniform(-1, 1));
+    default: {
+      static const std::string kStrings[] = {
+          "",         "a",         std::string("a\0", 2), "abcdefg",
+          "abcdefgh", "abcdefgz",  "abcdefgh1",           "b"};
+      return Value::String(kStrings[rng->Uniform(0, 7)]);
+    }
+  }
+}
+
+Relation OddRelation(const std::string& name, uint64_t seed, int rows) {
+  Rng rng(seed);
+  std::vector<std::vector<Value>> data;
+  for (int i = 0; i < rows; ++i) {
+    data.push_back({OddValue(&rng), OddValue(&rng), OddValue(&rng)});
+  }
+  return MakeRelation(name, {"a", "b", "c"}, data);
+}
+
+// The naive reference: copy the rows, then stable-sort the copies with
+// the contract's comparator.
+Relation ReferenceSort(const Relation& r, const SortSpec& spec) {
+  std::vector<Tuple> rows = r.rows();
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](const Tuple& x, const Tuple& y) {
+                     for (const SortKey& k : spec) {
+                       int i = r.schema().Find(k.attr.rel, k.attr.name);
+                       int c = CompareValuesTotal(x.values[i], y.values[i]);
+                       if (k.desc) c = -c;
+                       if (c != 0) return c < 0;
+                     }
+                     return false;
+                   });
+  Relation out(r.schema(), r.vschema());
+  for (Tuple& t : rows) out.Add(std::move(t));
+  return out;
+}
+
+bool SameBytes(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return a.AsInt() == b.AsInt();
+    case ValueType::kDouble: {
+      double x = a.AsDouble(), y = b.AsDouble();
+      return std::memcmp(&x, &y, sizeof x) == 0;
+    }
+    case ValueType::kString:
+      return a.AsString() == b.AsString();
+  }
+  return false;
+}
+
+// The same rows in the same order, bit for bit: value types, payloads
+// (doubles by their bits, so -0.0 and NaN signs count) and row ids.
+::testing::AssertionResult RowsIdentical(const Relation& a,
+                                         const Relation& b) {
+  if (a.NumRows() != b.NumRows()) {
+    return ::testing::AssertionFailure()
+           << a.NumRows() << " rows vs " << b.NumRows();
+  }
+  for (int64_t i = 0; i < a.NumRows(); ++i) {
+    const Tuple& x = a.row(i);
+    const Tuple& y = b.row(i);
+    bool same = x.values.size() == y.values.size() &&
+                x.vids.size() == y.vids.size();
+    for (size_t c = 0; same && c < x.values.size(); ++c) {
+      same = SameBytes(x.values[c], y.values[c]);
+    }
+    for (size_t c = 0; same && c < x.vids.size(); ++c) {
+      same = x.vids[c] == y.vids[c];
+    }
+    if (!same) return ::testing::AssertionFailure() << "row " << i << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<SortSpec> OddSpecs() {
+  auto key = [](const char* col, bool desc) {
+    return SortKey{Attribute{"r1", col}, desc};
+  };
+  return {{key("a", false)},
+          {key("a", true)},
+          {key("b", true), key("a", false)},
+          {key("c", false), key("a", true), key("b", true)}};
+}
+
+TEST(DifferentialSortTest, MatchesNaiveReferenceInMemoryAndSpilled) {
+  uint64_t spilled_sorts = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Relation r = OddRelation("r1", seed, 150 + 20 * static_cast<int>(seed));
+    for (const SortSpec& spec : OddSpecs()) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " by " +
+                   exec::SortSpecToString(spec));
+      Relation reference = ReferenceSort(r, spec);
+      auto in_memory = exec::Sort(r, spec);
+      ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+      EXPECT_TRUE(RowsIdentical(reference, *in_memory));
+
+      ResourceBudget budget;
+      budget.WithMaxMemory(4 * 1024);
+      SpillConfig cfg;
+      cfg.enabled = true;
+      OperatorStats stats;
+      ExecContext ctx;
+      ctx.budget = &budget;
+      ctx.spill = &cfg;
+      ctx.stats = &stats;
+      auto spilled = exec::Sort(r, spec, ctx);
+      ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+      EXPECT_TRUE(RowsIdentical(reference, *spilled));
+      EXPECT_EQ(SpillFile::LiveCount(), 0u);
+      EXPECT_EQ(budget.memory_charged(), 0u);
+      if (stats.sort_runs > 1) ++spilled_sorts;
+    }
+  }
+  EXPECT_EQ(spilled_sorts, 12u * OddSpecs().size())
+      << "the cap did not force spilled runs on every sort";
+}
+
+TEST(DifferentialSortTest, InputIsByteIdenticalAfterSort) {
+  Relation r = OddRelation("r1", 99, 300);
+  const Relation before = r;
+  for (const SortSpec& spec : OddSpecs()) {
+    ASSERT_TRUE(exec::Sort(r, spec).ok());
+    ResourceBudget budget;
+    budget.WithMaxMemory(4 * 1024);
+    SpillConfig cfg;
+    cfg.enabled = true;
+    ExecContext ctx;
+    ctx.budget = &budget;
+    ctx.spill = &cfg;
+    ASSERT_TRUE(exec::Sort(r, spec, ctx).ok());
+  }
+  EXPECT_TRUE(RowsIdentical(before, r));
+}
+
+// The multiset of (r1 row id, r2 row id) pairs a join produced: equal bags
+// mean the same matches and the same padded rows (kNullRowId on padding).
+// Relation::BagEquals cannot judge this pool: its IdentityLess compares an
+// int and a double through a double cast, which is not a strict weak
+// ordering past 2^53.
+std::vector<std::vector<RowId>> RowIdBag(const Relation& r) {
+  std::vector<std::vector<RowId>> bag;
+  for (const Tuple& t : r.rows()) {
+    bag.emplace_back(t.vids.begin(), t.vids.end());
+  }
+  std::sort(bag.begin(), bag.end());
+  return bag;
+}
+
+// Merge join against the hash join on the odd value pool: single, double,
+// residual-carrying and evaluated (2 * r2.b) keys; every join flavour, so
+// the LOJ/ROJ/FOJ padding checks the merge path's matched flags; in memory
+// and under a cap that spills both sides' sorts.
+TEST(DifferentialSortTest, MergeJoinMatchesHashJoinOnOddKeys) {
+  Atom doubled;
+  doubled.lhs = Scalar::Column("r1", "a");
+  doubled.op = CmpOp::kEq;
+  doubled.rhs =
+      Scalar::Arith(ArithOp::kMul, Scalar::Const(I(2)), Scalar::Column("r2", "b"));
+  const std::vector<Predicate> preds = {
+      Predicate(MakeAtom("r1", "a", CmpOp::kEq, "r2", "a")),
+      Predicate({MakeAtom("r1", "a", CmpOp::kEq, "r2", "a"),
+                 MakeAtom("r1", "b", CmpOp::kEq, "r2", "c")}),
+      Predicate({MakeAtom("r1", "a", CmpOp::kEq, "r2", "b"),
+                 MakeAtom("r1", "c", CmpOp::kLt, "r2", "c")}),
+      Predicate(doubled)};
+  bool spilled = false;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Relation a = OddRelation("r1", 100 + seed, 150);
+    Relation b = OddRelation("r2", 200 + seed, 170);
+    for (size_t pi = 0; pi < preds.size(); ++pi) {
+      for (int flavor = 0; flavor < 4; ++flavor) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " pred " +
+                     std::to_string(pi) + " flavor " + std::to_string(flavor));
+        auto run = [&](ExecContext ctx) {
+          switch (flavor) {
+            case 0: return exec::InnerJoin(a, b, preds[pi], ctx);
+            case 1: return exec::LeftOuterJoin(a, b, preds[pi], ctx);
+            case 2: return exec::RightOuterJoin(a, b, preds[pi], ctx);
+            default: return exec::FullOuterJoin(a, b, preds[pi], ctx);
+          }
+        };
+        ExecContext hash_ctx;
+        hash_ctx.join = JoinStrategy::kHashOnly;
+        auto hash = run(hash_ctx);
+        ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+
+        OperatorStats stats;
+        ExecContext merge_ctx;
+        merge_ctx.join = JoinStrategy::kMergeOnly;
+        merge_ctx.stats = &stats;
+        auto merge = run(merge_ctx);
+        ASSERT_TRUE(merge.ok()) << merge.status().ToString();
+        EXPECT_TRUE(stats.merge_path);
+        EXPECT_EQ(RowIdBag(*hash), RowIdBag(*merge));
+
+        ResourceBudget budget;
+        budget.WithMaxMemory(24 * 1024);
+        SpillConfig cfg;
+        cfg.enabled = true;
+        OperatorStats spill_stats;
+        ExecContext spill_ctx = merge_ctx;
+        spill_ctx.budget = &budget;
+        spill_ctx.spill = &cfg;
+        spill_ctx.stats = &spill_stats;
+        auto capped = run(spill_ctx);
+        ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+        EXPECT_EQ(RowIdBag(*hash), RowIdBag(*capped));
+        EXPECT_EQ(SpillFile::LiveCount(), 0u);
+        EXPECT_EQ(budget.memory_charged(), 0u);
+        spilled = spilled || spill_stats.sort_runs > 1;
+      }
+    }
+  }
+  EXPECT_TRUE(spilled) << "the cap never spilled a merge join's sort";
 }
 
 // --- sorted aggregation vs hash aggregation ---
